@@ -14,10 +14,10 @@ import argparse
 from pathlib import Path
 
 from depanno import (
-    Annotation,
     UnsupportedExportError,
     emit_asp_program,
     emit_dot,
+    entailed_annotations,
     parse_spec,
     solve,
 )
@@ -33,14 +33,7 @@ def render_one(path: Path, out_dir: Path) -> dict:
     spec, annotations = result.spec, list(result.annotations)
 
     solved = solve(spec, annotations)
-    drawn = list(annotations)
-    if solved.consistent:
-        user_pairs = {a.pair for a in annotations}
-        drawn.extend(
-            Annotation(pair[0], pair[1], t, origin="inferred")
-            for pair, t in sorted(solved.entailed.items())
-            if pair not in user_pairs
-        )
+    drawn = entailed_annotations(solved, annotations)
 
     dot_path = out_dir / f"{path.stem}.dot"
     dot_path.write_text(emit_dot(spec, drawn), encoding="utf-8")

@@ -42,7 +42,6 @@ from .exports import (
     emit_dot,
 )
 from .reasoner import (
-    BruteForceCapError,
     Conflict,
     ConflictReason,
     InconsistentWorkflowError,
@@ -50,8 +49,8 @@ from .reasoner import (
     PairReport,
     SolveResult,
     WitnessPath,
-    brute_force_solve,
     check_consistency,
+    entailed_annotations,
     infer,
     path_type,
     simple_paths,
@@ -76,7 +75,6 @@ __all__ = [
     "ASSERTION_NAMES",
     "Annotation",
     "AssertionType",
-    "BruteForceCapError",
     "Conflict",
     "ConflictReason",
     "DataItem",
@@ -103,7 +101,6 @@ __all__ = [
     "WitnessPath",
     "WorkflowSpec",
     "assertion_from_name",
-    "brute_force_solve",
     "check_consistency",
     "check_trace",
     "compose",
@@ -111,6 +108,7 @@ __all__ = [
     "emit_asp_program",
     "emit_dot",
     "emit_spec",
+    "entailed_annotations",
     "infer",
     "parse_spec",
     "parse_trace",

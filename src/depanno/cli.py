@@ -16,8 +16,8 @@ from pathlib import Path
 
 from .dsl import parse_spec
 from .exports import UnsupportedExportError, emit_asp_program, emit_dot
-from .model import Annotation, DependencyType
-from .reasoner import Conflict, check_consistency, solve
+from .model import DependencyType
+from .reasoner import Conflict, check_consistency, entailed_annotations, solve
 from .trace import TraceFormatError, check_trace, parse_trace, warn_sameas_candidates
 
 
@@ -112,10 +112,9 @@ def _conflict_payload(conflict: Conflict) -> dict:
     }
 
 
-def cmd_validate(args) -> int:
-    spec, annotations = _load_workflow(args.workflow)
+def _report_consistency(spec, annotations, fmt: str) -> int:
     conflicts = check_consistency(spec, annotations)
-    if args.format == "json":
+    if fmt == "json":
         _print_json(
             {
                 "workflow": spec.name,
@@ -132,28 +131,16 @@ def cmd_validate(args) -> int:
     return ExitStatus.INCONSISTENT if conflicts else ExitStatus.OK
 
 
-def _report_inconsistent(spec, annotations, fmt: str) -> int:
-    conflicts = check_consistency(spec, annotations)
-    if fmt == "json":
-        _print_json(
-            {
-                "workflow": spec.name,
-                "consistent": False,
-                "conflicts": [_conflict_payload(c) for c in conflicts],
-            }
-        )
-    else:
-        print(f"inconsistent: {spec.name}")
-        for conflict in conflicts:
-            _print_conflict(conflict)
-    return ExitStatus.INCONSISTENT
+def cmd_validate(args) -> int:
+    spec, annotations = _load_workflow(args.workflow)
+    return _report_consistency(spec, annotations, args.format)
 
 
 def cmd_infer(args) -> int:
     spec, annotations = _load_workflow(args.workflow)
     result = solve(spec, annotations, max_models=args.max_models)
     if not result.consistent:
-        return _report_inconsistent(spec, annotations, args.format)
+        return _report_consistency(spec, annotations, args.format)
     if result.truncated:
         print(
             f"note: stopped after {args.max_models} answer sets; "
@@ -247,19 +234,12 @@ def cmd_export(args) -> int:
     spec, annotations = _load_workflow(args.workflow)
     if args.dot:
         result = solve(spec, annotations)
-        drawn = list(annotations)
-        if result.consistent:
-            user_pairs = {a.pair for a in annotations}
-            drawn.extend(
-                Annotation(pair[0], pair[1], t, origin="inferred")
-                for pair, t in sorted(result.entailed.items())
-                if pair not in user_pairs
-            )
-        else:
+        if not result.consistent:
             print(
                 "note: annotations are inconsistent; drawing user annotations only",
                 file=sys.stderr,
             )
+        drawn = entailed_annotations(result, annotations)
         Path(args.dot).write_text(emit_dot(spec, drawn), encoding="utf-8")
         print(f"wrote {args.dot}")
     if args.asp:

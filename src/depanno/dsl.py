@@ -19,10 +19,12 @@ lines name edges without naming blocks.
 
 The parser never throws on bad input. It collects diagnostics with source
 spans, recovers at the next statement keyword, and keeps going; the
-returned spec is None whenever any error was seen. Structural rules
-(duplicate labels, multiple writers, dangling dep labels, annotations on
-unreachable pairs) are checked here as well so the diagnostics can point at
-the offending tokens.
+returned spec is None whenever any error was seen. The structural rules
+(one writer per data block, dep labels naming an existing in-edge and
+out-edge, annotations only on pairs joined by a dataflow path) come from
+``model.validate_structure``; the parser maps each violation to the
+offending token. Duplicate edge labels are the one rule checked here, since
+a port line repeated verbatim would vanish into the spec's edge set.
 """
 
 from __future__ import annotations
@@ -34,13 +36,11 @@ from typing import Iterable, Optional
 from .model import (
     Annotation,
     AssertionType,
-    DependencyType,
-    ReachabilityAssertion,
     WorkflowSpec,
     Edge,
     _SpecIndex,
+    _assertion_rank,
     assertion_from_name,
-    up_stream_pairs,
     validate_structure,
 )
 
@@ -124,9 +124,7 @@ def _lex(text: str, diagnostics: list[ParseDiagnostic]) -> list[_Token]:
 
 @dataclass
 class _DepLine:
-    input_edge: str
-    output_edge: str
-    assertion: AssertionType
+    annotation: Annotation
     input_span: SourceSpan
     output_span: SourceSpan
 
@@ -174,18 +172,9 @@ class _Parser:
             return None
         return self.take()
 
-    def expect_keyword(self, word: str, context: str) -> bool:
+    def expect(self, text: str, context: str) -> bool:
         tok = self.peek()
-        if tok is None or tok.text != word:
-            got = "end of input" if tok is None else repr(tok.text)
-            self.error(self.here(), f"expected {word!r} {context}, got {got}")
-            return False
-        self.take()
-        return True
-
-    def expect_kind(self, kind: str, text: str, context: str) -> bool:
-        tok = self.peek()
-        if tok is None or tok.kind != kind:
+        if tok is None or tok.text != text:
             got = "end of input" if tok is None else repr(tok.text)
             self.error(self.here(), f"expected {text!r} {context}, got {got}")
             return False
@@ -257,7 +246,7 @@ class _Parser:
             return
         connective = "from" if direction == "in" else "to"
         side = "input" if direction == "in" else "output"
-        if not self.expect_keyword(connective, f"after {side} label"):
+        if not self.expect(connective, f"after {side} label"):
             self.sync()
             return
         data_tok = self.expect_ident("data block name")
@@ -271,15 +260,6 @@ class _Parser:
                 f"edge label {label!r} is used by more than one edge",
             )
             return
-        if direction == "out":
-            writers = [e.label for e in self.edges if e.direction == "out" and e.data == data_tok.text]
-            if writers:
-                self.error(
-                    label_tok.span,
-                    f"data block {data_tok.text!r} is written by multiple edges: "
-                    + ", ".join(writers + [label]),
-                )
-                return
         self.edge_spans[label] = label_tok.span
         self.edges.append(Edge(label, program, data_tok.text, direction))
 
@@ -289,14 +269,14 @@ class _Parser:
         if in_tok is None:
             self.sync()
             return
-        if not self.expect_kind("arrow", "->", "after input edge label"):
+        if not self.expect("->", "after input edge label"):
             self.sync()
             return
         out_tok = self.expect_ident("output edge label")
         if out_tok is None:
             self.sync()
             return
-        if not self.expect_kind("colon", ":", "after output edge label"):
+        if not self.expect(":", "after output edge label"):
             self.sync()
             return
         type_tok = self.peek()
@@ -311,110 +291,74 @@ class _Parser:
         except ValueError as exc:
             self.error(type_tok.span, str(exc))
             return
-        self.deps.append(
-            _DepLine(in_tok.text, out_tok.text, assertion, in_tok.span, out_tok.span)
-        )
+        annotation = Annotation(in_tok.text, out_tok.text, assertion)
+        self.deps.append(_DepLine(annotation, in_tok.span, out_tok.span))
 
 
 def parse_spec(text: str) -> ParseResult:
     """Parse workflow text; never raises, reports diagnostics with spans.
 
     The spec field is None when any error diagnostic was produced; warnings
-    alone leave it usable. Structural rules are enforced here so every
-    violation points at the token that caused it.
+    alone leave it usable. Structural rules come from validate_structure,
+    each violation reported at the token that caused it.
     """
     diagnostics: list[ParseDiagnostic] = []
-    tokens = _lex(text, diagnostics)
-    parser = _Parser(tokens, diagnostics)
+    parser = _Parser(_lex(text, diagnostics), diagnostics)
     parser.parse()
 
-    by_label = {e.label: e for e in parser.edges}
-    deps: list[_DepLine] = []
-    for dep in parser.deps:
-        ok = True
-        for label, span, want in (
-            (dep.input_edge, dep.input_span, "in"),
-            (dep.output_edge, dep.output_span, "out"),
-        ):
-            edge = by_label.get(label)
-            if edge is None:
-                parser.error(span, f"annotation references unknown edge label {label!r}")
-                ok = False
-            elif edge.direction != want:
-                parser.error(
-                    span,
-                    f"annotation uses {edge.direction}-edge {label!r} "
-                    f"where an {want}-edge is required",
-                )
-                ok = False
-        if ok:
-            deps.append(dep)
-
     kept: list[_DepLine] = []
-    seen_exact: set[tuple[str, str, AssertionType]] = set()
-    seen_pairs: dict[tuple[str, str], AssertionType] = {}
-    for dep in deps:
-        key = (dep.input_edge, dep.output_edge, dep.assertion)
-        if key in seen_exact:
-            parser.warn(
-                dep.input_span,
-                f"duplicate annotation {dep.input_edge!r} -> {dep.output_edge!r}; "
-                "ignored",
-            )
+    seen: set[Annotation] = set()
+    first_type: dict[tuple[str, str], AssertionType] = {}
+    for dep in parser.deps:
+        ann = dep.annotation
+        names = f"{ann.input_edge!r} -> {ann.output_edge!r}"
+        if ann in seen:
+            parser.warn(dep.input_span, f"duplicate annotation {names}; ignored")
             continue
-        seen_exact.add(key)
-        pair = (dep.input_edge, dep.output_edge)
-        previous = seen_pairs.get(pair)
-        if previous is not None and previous != dep.assertion:
+        seen.add(ann)
+        if first_type.setdefault(ann.pair, ann.assertion) != ann.assertion:
             parser.warn(
                 dep.input_span,
-                f"{dep.input_edge!r} -> {dep.output_edge!r} is annotated more than "
-                "once with different types; no assignment can satisfy both",
+                f"{names} is annotated more than once with different types; "
+                "no assignment can satisfy both",
             )
-        seen_pairs.setdefault(pair, dep.assertion)
         kept.append(dep)
 
-    has_errors = any(d.severity == "error" for d in diagnostics)
-    if not has_errors and parser.name is not None:
-        data_blocks = {e.data for e in parser.edges}
-        spec = WorkflowSpec(parser.name, parser.programs, data_blocks, parser.edges)
-        upstream = up_stream_pairs(spec)
-        for dep in kept:
-            pair = (dep.input_edge, dep.output_edge)
-            if isinstance(dep.assertion, DependencyType) and pair not in upstream:
-                parser.error(
-                    dep.input_span,
-                    f"annotation {dep.input_edge!r} -> {dep.output_edge!r} "
-                    f"({dep.assertion.display}) relates edges with no dataflow "
-                    "path between them",
-                )
-        has_errors = any(d.severity == "error" for d in diagnostics)
-
-    annotations = tuple(
-        Annotation(d.input_edge, d.output_edge, d.assertion) for d in kept
-    )
-    if has_errors or parser.name is None:
+    annotations = tuple(dep.annotation for dep in kept)
+    if parser.name is None:
         return ParseResult(None, annotations, tuple(diagnostics))
-
+    syntax_ok = not any(d.severity == "error" for d in diagnostics)
     spec = WorkflowSpec(
-        parser.name,
-        parser.programs,
-        {e.data for e in parser.edges},
-        parser.edges,
+        parser.name, parser.programs, {e.data for e in parser.edges}, parser.edges
     )
-    residual = validate_structure(spec, annotations)
-    for err in residual:
-        # parser checks mirror the structural rules; this is a safety net
-        diagnostics.append(ParseDiagnostic(SourceSpan(1, 1, 1), "error", err.message))
-    if residual:
-        return ParseResult(None, annotations, tuple(diagnostics))
-    return ParseResult(spec, annotations, tuple(diagnostics))
-
-
-def _assertion_rank(assertion: AssertionType) -> int:
-    if isinstance(assertion, ReachabilityAssertion):
-        return len(DependencyType)
-    return int(assertion)
+    by_label = {e.label: e for e in parser.edges}
+    reported: set[int] = set()
+    for err in validate_structure(spec, annotations):
+        if err.annotation is None:
+            # Repeated labels never reach the spec and every port declares
+            # its program and block, so only the one-writer rule is left:
+            # point at the block's second writer.
+            writers = [
+                e for e in parser.edges if e.direction == "out" and e.data == err.subject
+            ]
+            span = parser.edge_spans[writers[1].label]
+        elif err.kind == "annotation-not-upstream":
+            if not syntax_ok:
+                # a port lost to a syntax error may be the missing path
+                continue
+            span = kept[err.annotation].input_span
+        else:
+            # An annotation's label errors come input side first, and the
+            # input side errs exactly when its label is not an in-edge.
+            dep = kept[err.annotation]
+            edge = by_label.get(dep.annotation.input_edge)
+            input_errs = edge is None or edge.direction != "in"
+            first = err.annotation not in reported
+            reported.add(err.annotation)
+            span = dep.input_span if first and input_errs else dep.output_span
+        parser.error(span, err.message)
+    failed = any(d.severity == "error" for d in diagnostics)
+    return ParseResult(None if failed else spec, annotations, tuple(diagnostics))
 
 
 def emit_spec(spec: WorkflowSpec, annotations: Iterable[Annotation] = ()) -> str:

@@ -25,6 +25,7 @@ from .model import (
     ReachabilityAssertion,
     UnknownLabelError,
     WorkflowSpec,
+    _assertion_rank,
 )
 
 
@@ -88,12 +89,8 @@ def emit_dot(spec: WorkflowSpec, annotations: Iterable[Annotation] = ()) -> str:
         )
 
     def ann_rank(ann: Annotation) -> tuple:
-        strength = (
-            len(DependencyType)
-            if isinstance(ann.assertion, ReachabilityAssertion)
-            else int(ann.assertion)
-        )
-        return (ann.origin != "user", ann.input_edge, ann.output_edge, strength)
+        rank = _assertion_rank(ann.assertion)
+        return (ann.origin != "user", ann.input_edge, ann.output_edge, rank)
 
     for ann in sorted(annotations, key=ann_rank):
         source = "d:" + by_label[ann.output_edge].data

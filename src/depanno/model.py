@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 
 class DependencyType(enum.IntEnum):
@@ -88,6 +88,13 @@ def assertion_from_name(name: str) -> AssertionType:
         return _TYPE_BY_NAME[name]
     legal = ", ".join(ASSERTION_NAMES)
     raise ValueError(f"unknown dependency type {name!r} (expected one of {legal})")
+
+
+def _assertion_rank(assertion: AssertionType) -> int:
+    """Sort rank: the five types weakest first, then NotFlowsFrom."""
+    if isinstance(assertion, ReachabilityAssertion):
+        return len(DependencyType)
+    return int(assertion)
 
 
 def weaker(t1: DependencyType, t2: DependencyType) -> bool:
@@ -163,11 +170,17 @@ class Annotation:
 
 @dataclass(frozen=True)
 class StructuralError:
-    """One violated structural rule, identified by kind and offending subject."""
+    """One violated structural rule, identified by kind and offending subject.
+
+    ``annotation`` is the index, in the list passed to validate_structure,
+    of the annotation an ``unknown-edge``, ``annotation-direction`` or
+    ``annotation-not-upstream`` error is about; None for graph errors.
+    """
 
     kind: str
     subject: str
     message: str
+    annotation: Optional[int] = None
 
 
 class UnknownLabelError(LookupError):
@@ -374,30 +387,25 @@ def validate_structure(
             )
 
     by_label = {e.label: e for e in spec.edges}
-    for ann in annotations:
+    for k, ann in enumerate(annotations):
         for label, want in ((ann.input_edge, "in"), (ann.output_edge, "out")):
             edge = by_label.get(label)
             if edge is None:
-                errors.append(
-                    StructuralError(
-                        "unknown-edge",
-                        label,
-                        f"annotation references unknown edge label {label!r}",
-                    )
-                )
+                kind = "unknown-edge"
+                message = f"annotation references unknown edge label {label!r}"
             elif edge.direction != want:
-                errors.append(
-                    StructuralError(
-                        "annotation-direction",
-                        label,
-                        f"annotation uses {edge.direction}-edge {label!r} "
-                        f"where an {want}-edge is required",
-                    )
+                kind = "annotation-direction"
+                message = (
+                    f"annotation uses {edge.direction}-edge {label!r} "
+                    f"where an {want}-edge is required"
                 )
+            else:
+                continue
+            errors.append(StructuralError(kind, label, message, k))
 
     if not errors:
         upstream = up_stream_pairs(spec)
-        for ann in annotations:
+        for k, ann in enumerate(annotations):
             if isinstance(ann.assertion, DependencyType) and ann.pair not in upstream:
                 errors.append(
                     StructuralError(
@@ -406,6 +414,7 @@ def validate_structure(
                         f"annotation {ann.input_edge!r} -> {ann.output_edge!r} "
                         f"({ann.assertion.display}) relates edges with no "
                         "dataflow path between them",
+                        k,
                     )
                 )
     return errors

@@ -11,10 +11,7 @@ with no dataflow path at all.
 
 Only the direct pairs are free variables. Every multi-block pair's value is
 a consequence of the direct choices, so the search walks direct assignments,
-derives the rest, and checks user pins. ``brute_force_solve`` ignores that
-structure on purpose: it enumerates raw assignments over all upstream pairs
-and tests the two path constraints literally, which makes it a slow,
-independent oracle for the optimized search.
+derives the rest, and checks user pins.
 
 Strongest-path values are computed with a widest-path (maximize the minimum)
 variant of Dijkstra over the edge-label graph. Dropping a cycle from a walk
@@ -26,7 +23,6 @@ from __future__ import annotations
 
 import enum
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -122,10 +118,6 @@ class InconsistentWorkflowError(ValueError):
             parts.append(f"{c.pair[0]} -> {c.pair[1]} ({name}): {c.reason.value}")
         detail = "; ".join(parts) or "no answer set"
         super().__init__(f"annotations are inconsistent: {detail}")
-
-
-class BruteForceCapError(ValueError):
-    """The workflow has more upstream pairs than the brute-force cap allows."""
 
 
 class MissingDirectTypeError(LookupError):
@@ -433,49 +425,23 @@ def solve(
     return _result(ctx, models, truncated, limit=max_models)
 
 
-def brute_force_solve(
-    spec: WorkflowSpec,
-    annotations: Iterable[Annotation] = (),
-    cap: int = 10,
-) -> SolveResult:
-    """Oracle enumeration: try every assignment over all upstream pairs.
+def entailed_annotations(
+    result: SolveResult, annotations: Iterable[Annotation]
+) -> list[Annotation]:
+    """The user annotations plus one inferred annotation per entailed pair.
 
-    Materializes all 5^n combinations (n = number of upstream pairs, pairs
-    pinned by the user keep a single value) and keeps those satisfying the
-    two path constraints stated literally: the assigned type is one of the
-    per-path minimums, and no path minimum is strictly stronger. Raises
-    BruteForceCapError when n exceeds ``cap``; never truncates.
+    ``result`` is the solve over the same annotations. Entailed pairs the
+    user did not annotate are appended in pair order with origin
+    "inferred"; an inconsistent result entails nothing and adds none.
     """
-    ctx, pinned, nff, contradictory = _prepare(spec, annotations)
-    if len(ctx.upstream) > cap:
-        raise BruteForceCapError(
-            f"{len(ctx.upstream)} upstream pairs exceed the brute-force cap of {cap}"
-        )
-    if contradictory or any(pair in ctx.upstream_set for pair in nff):
-        return _result(ctx, [], False)
-
-    pair_paths = {
-        pair: tuple(_path_hops(path) for path in ctx.paths(pair))
-        for pair in ctx.upstream
-    }
-    domains = []
-    for pair in ctx.upstream:
-        t = pinned.get(pair)
-        domains.append((int(t),) if t is not None else (0, 1, 2, 3, 4))
-
-    models = []
-    for combo in itertools.product(*domains):
-        value = dict(zip(ctx.upstream, combo))
-        ok = True
-        for pair, paths in pair_paths.items():
-            mins = [min(value[hop] for hop in hops) for hops in paths]
-            assigned = value[pair]
-            if assigned not in mins or any(m > assigned for m in mins):
-                ok = False
-                break
-        if ok:
-            models.append({p: DependencyType(v) for p, v in value.items()})
-    return _result(ctx, models, False)
+    drawn = list(annotations)
+    user_pairs = {a.pair for a in drawn}
+    drawn.extend(
+        Annotation(pair[0], pair[1], t, origin="inferred")
+        for pair, t in sorted(result.entailed.items())
+        if pair not in user_pairs
+    )
+    return drawn
 
 
 def _achievable(ctx: _Reasoning, path: tuple[str, ...], direct_pins: Mapping[Pair, int]):
@@ -613,6 +579,7 @@ def infer(
     was pinned by the user. Raises InconsistentWorkflowError (carrying the
     conflicts) when no answer set exists.
     """
+    annotations = list(annotations)
     result = solve(spec, annotations, max_models=max_models)
     if not result.consistent:
         raise InconsistentWorkflowError(check_consistency(spec, annotations))

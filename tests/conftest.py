@@ -3,17 +3,25 @@
 The oracle helpers below deliberately re-derive semantics from raw edge
 lists with plain DFS enumeration, without touching the package's graph
 indexes or solver internals, so tests compare two separately written
-implementations of the same definitions.
+implementations of the same definitions. ``brute_force_solve`` builds the
+whole answer-set family the same way, by raw enumeration.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from pathlib import Path
 
 import pytest
 
-from depanno import DependencyType, WorkflowSpec, parse_spec, up_stream_pairs
+from depanno import (
+    DependencyType,
+    SolveResult,
+    WorkflowSpec,
+    parse_spec,
+    up_stream_pairs,
+)
 from depanno.random_workflows import random_annotations, random_workflow
 
 WORKFLOWS = Path(__file__).resolve().parents[1] / "workflows"
@@ -103,6 +111,62 @@ def oracle_upstream(spec: WorkflowSpec):
         for o in outs
         if oracle_simple_paths(spec, i, o)
     }
+
+
+class BruteForceCapError(ValueError):
+    """The workflow has more upstream pairs than the brute-force cap allows."""
+
+
+def brute_force_solve(spec: WorkflowSpec, annotations=(), cap: int = 10):
+    """Oracle enumeration: try every assignment over all upstream pairs.
+
+    Tries all 5^n combinations (n = number of upstream pairs, a pinned pair
+    keeps only its pinned value, a NotFlowsFrom on an upstream pair leaves
+    no value) and keeps those satisfying the two path constraints stated
+    literally: the assigned type is one of the per-path minimums, and no
+    path minimum is strictly stronger. Raises BruteForceCapError when n
+    exceeds ``cap``; never truncates.
+    """
+    upstream = sorted(oracle_upstream(spec))
+    if len(upstream) > cap:
+        raise BruteForceCapError(
+            f"{len(upstream)} upstream pairs exceed the brute-force cap of {cap}"
+        )
+    domains = {pair: set(range(len(DependencyType))) for pair in upstream}
+    for ann in annotations:
+        if isinstance(ann.assertion, DependencyType):
+            domains[ann.pair] &= {int(ann.assertion)}
+        elif ann.pair in domains:
+            domains[ann.pair] = set()
+    pair_hops = {
+        pair: [oracle_hops(p) for p in oracle_simple_paths(spec, *pair)]
+        for pair in upstream
+    }
+
+    models = []
+    # product over sorted domains yields the canonical answer-set order
+    for combo in itertools.product(*(sorted(domains[p]) for p in upstream)):
+        value = dict(zip(upstream, combo))
+        ok = True
+        for pair, paths in pair_hops.items():
+            mins = [min(value[hop] for hop in hops) for hops in paths]
+            assigned = value[pair]
+            if assigned not in mins or any(m > assigned for m in mins):
+                ok = False
+                break
+        if ok:
+            models.append({p: DependencyType(v) for p, v in value.items()})
+
+    options = {}
+    entailed = {}
+    if models:
+        for pair in upstream:
+            options[pair] = tuple(
+                DependencyType(v) for v in sorted({int(m[pair]) for m in models})
+            )
+            if len(options[pair]) == 1:
+                entailed[pair] = options[pair][0]
+    return SolveResult(tuple(models), entailed, options, truncated=False)
 
 
 def sample_oracle_case(seed: int, max_pairs: int = 10, max_combos: int = 20000):

@@ -19,7 +19,6 @@ from depanno import (
     InconsistentWorkflowError,
     Invocation,
     Trace,
-    brute_force_solve,
     check_trace,
     compose,
     emit_asp_program,
@@ -32,6 +31,7 @@ from depanno import (
 from depanno.random_workflows import random_annotations, random_workflow
 
 from conftest import (
+    brute_force_solve,
     load_workflow,
     oracle_hops,
     oracle_simple_paths,

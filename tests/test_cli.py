@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import depanno
 from depanno.cli import main
 
 from conftest import WORKFLOWS
@@ -324,10 +327,13 @@ class TestUsage:
         assert code == 3
 
     def test_module_entry_point(self):
+        # run the package copy this test imported, not whatever is installed
+        package_root = Path(depanno.__file__).resolve().parents[1]
         proc = subprocess.run(
             [sys.executable, "-m", "depanno", "validate", wf("chain_span.wf")],
             capture_output=True,
             text=True,
+            env={**os.environ, "PYTHONPATH": str(package_root)},
         )
         assert proc.returncode == 0
         assert proc.stdout == "consistent: chain_span\n"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,6 +174,94 @@ class TestParseDiagnostics:
         assert any("workflow name" in e.message for e in result.errors())
         result = parse_spec("workflow w\ndep a\n")
         assert any("'->'" in e.message for e in result.errors())
+
+
+_ONE_BLOCK = "workflow w\nprogram p\n  in a from d1\n  out b to d2\n"
+_TWO_BLOCKS = (
+    "workflow w\n"
+    "program p1\n  in a from d1\n  out b to d2\n"
+    "program p2\n  in c from d3\n  out e to d4\n"
+)
+
+# (line, column, severity, message) of every diagnostic, in report order
+DIAGNOSTIC_TABLE = {
+    "dep-both-sides-reversed": (
+        _ONE_BLOCK + "dep b -> a : SameAs\n",
+        [
+            (5, 5, "error", "annotation uses out-edge 'b' where an in-edge is required"),
+            (5, 10, "error", "annotation uses in-edge 'a' where an out-edge is required"),
+        ],
+    ),
+    "dep-in-edge-on-both-sides": (
+        _ONE_BLOCK + "dep a -> a : SameAs\n",
+        [(5, 10, "error", "annotation uses in-edge 'a' where an out-edge is required")],
+    ),
+    "dep-unknown-on-both-sides": (
+        _ONE_BLOCK + "dep ghost -> ghost : SameAs\n",
+        [
+            (5, 5, "error", "annotation references unknown edge label 'ghost'"),
+            (5, 14, "error", "annotation references unknown edge label 'ghost'"),
+        ],
+    ),
+    "dep-on-unreachable-pair": (
+        _TWO_BLOCKS + "dep a -> e : SameAs\n",
+        [
+            (
+                8,
+                5,
+                "error",
+                "annotation 'a' -> 'e' (SameAs) relates edges with no dataflow "
+                "path between them",
+            )
+        ],
+    ),
+    "two-writers": (
+        "workflow w\nprogram p1\n  out b to d\nprogram p2\n  out a to d\n",
+        [(5, 7, "error", "data block 'd' is written by multiple edges: a, b")],
+    ),
+    "three-writers": (
+        "workflow w\nprogram p1\n  out c to d\nprogram p2\n  out a to d\n"
+        "  out b to d\n",
+        [(5, 7, "error", "data block 'd' is written by multiple edges: a, b, c")],
+    ),
+    "port-line-repeated": (
+        "workflow w\nprogram p\n  in a from d1\n  in a from d1\n  out b to d2\n",
+        [(4, 6, "error", "edge label 'a' is used by more than one edge")],
+    ),
+    "syntax-error-hides-unreachable-dep": (
+        _TWO_BLOCKS.replace("in c from d3", "in c frm d3") + "dep a -> e : SameAs\n",
+        [(6, 8, "error", "expected 'from' after input label, got 'frm'")],
+    ),
+    "structural-after-syntax": (
+        _ONE_BLOCK + "dep ghost -> b : SameAs\nprogram q\n  in c frm d3\n",
+        [
+            (7, 8, "error", "expected 'from' after input label, got 'frm'"),
+            (5, 5, "error", "annotation references unknown edge label 'ghost'"),
+        ],
+    ),
+    "bad-dep-line-repeated": (
+        _ONE_BLOCK + "dep ghost -> b : SameAs\ndep ghost -> b : SameAs\n",
+        [
+            (6, 5, "warning", "duplicate annotation 'ghost' -> 'b'; ignored"),
+            (5, 5, "error", "annotation references unknown edge label 'ghost'"),
+        ],
+    ),
+    "no-structural-errors-without-header": (
+        _ONE_BLOCK.replace("workflow w\n", "") + "dep ghost -> b : SameAs\n",
+        [(1, 1, "error", "expected 'workflow' header")],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIAGNOSTIC_TABLE))
+def test_diagnostics_table(case):
+    text, expected = DIAGNOSTIC_TABLE[case]
+    result = parse_spec(text)
+    assert result.spec is None
+    assert [
+        (d.span.line, d.span.column, d.severity, d.message)
+        for d in result.diagnostics
+    ] == expected
 
 
 class TestParseWarnings:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from depanno import (
     Annotation,
-    BruteForceCapError,
     Conflict,
     ConflictReason,
     DependencyType,
@@ -22,7 +21,6 @@ from depanno import (
     UnknownLabelError,
     WitnessPath,
     WorkflowSpec,
-    brute_force_solve,
     check_consistency,
     infer,
     path_type,
@@ -33,6 +31,8 @@ from depanno import (
 from depanno.random_workflows import random_annotations, random_workflow
 
 from conftest import (
+    BruteForceCapError,
+    brute_force_solve,
     oracle_path_type,
     oracle_simple_paths,
     sample_oracle_case,
@@ -434,6 +434,18 @@ class TestInfer:
         assert info.value.conflicts == tuple(check_consistency(spec, annotations))
         assert "x_in -> x_out" in str(info.value)
         assert "not-a-valid-path-type" in str(info.value)
+
+    def test_annotations_given_as_a_generator(self, chain_span, sampler_span):
+        spec, annotations = chain_span
+        report = infer(spec, iter(annotations))
+        assert report[("x1", "x4")].origin == "user"
+        assert report == infer(spec, annotations)
+        spec, annotations = sampler_span
+        with pytest.raises(InconsistentWorkflowError) as info:
+            infer(spec, iter(annotations))
+        assert [c.reason for c in info.value.conflicts] == [
+            ConflictReason.NOT_A_VALID_PATH_TYPE
+        ]
 
 
 class TestBruteForceOracle:
