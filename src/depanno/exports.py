@@ -23,9 +23,9 @@ from .model import (
     Annotation,
     DependencyType,
     ReachabilityAssertion,
-    UnknownLabelError,
     WorkflowSpec,
     _assertion_rank,
+    _require_annotation_edges,
 )
 
 
@@ -59,19 +59,14 @@ def _gvquote(s: str) -> str:
     return '"' + s.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _check_annotation_labels(spec: WorkflowSpec, annotations: Iterable[Annotation]):
-    by_label = {e.label: e for e in spec.edges}
-    for ann in annotations:
-        for label in (ann.input_edge, ann.output_edge):
-            if label not in by_label:
-                raise UnknownLabelError(label)
-    return by_label
-
-
 def emit_dot(spec: WorkflowSpec, annotations: Iterable[Annotation] = ()) -> str:
-    """Render the workflow graph as deterministic Graphviz DOT text."""
+    """Render the workflow graph as deterministic Graphviz DOT text.
+
+    Raises UnknownLabelError when an annotation names an unknown edge and
+    StructuralValidationError when it names an edge of the wrong direction.
+    """
     annotations = list(annotations)
-    by_label = _check_annotation_labels(spec, annotations)
+    by_label = _require_annotation_edges(spec, annotations)
     lines = [f"digraph {_gvquote(spec.name)} {{"]
     lines.append("  rankdir=LR;")
     lines.append('  node [fontname="Helvetica"];')
@@ -130,7 +125,8 @@ def emit_asp_program(spec: WorkflowSpec, annotations: Iterable[Annotation] = ())
 
     Raises UnsupportedExportError when a NotFlowsFrom assertion is present:
     the rule block has no atom for reachability denial, so such a workflow
-    cannot be cross-checked through this format.
+    cannot be cross-checked through this format. Annotation labels are
+    checked as in emit_dot.
     """
     annotations = list(annotations)
     for ann in annotations:
@@ -139,7 +135,7 @@ def emit_asp_program(spec: WorkflowSpec, annotations: Iterable[Annotation] = ())
                 f"annotation {ann.input_edge!r} -> {ann.output_edge!r}: "
                 "NotFlowsFrom assertions have no encoding in the exported program"
             )
-    _check_annotation_labels(spec, annotations)
+    _require_annotation_edges(spec, annotations)
 
     edge_atoms = _sanitize_names(e.label for e in spec.edges)
     program_atoms = _sanitize_names(spec.programs)

@@ -204,11 +204,12 @@ class _SpecIndex:
     """Adjacency maps for one spec. Assumes unique edge labels.
 
     All listings are sorted so every traversal built on top of this index
-    is deterministic.
+    is deterministic. ``outs_reached`` is the package's one unweighted
+    reachability walk: upstream pairs, annotation reachability and the
+    path-type corridor are all answered from it.
     """
 
     def __init__(self, spec: WorkflowSpec):
-        self.spec = spec
         self.by_label: dict[str, Edge] = {}
         block_ins: dict[str, list[str]] = defaultdict(list)
         block_outs: dict[str, list[str]] = defaultdict(list)
@@ -237,9 +238,6 @@ class _SpecIndex:
         self.in_labels: tuple[str, ...] = tuple(
             e.label for e in sorted(spec.edges) if e.direction == "in"
         )
-        self.out_labels: tuple[str, ...] = tuple(
-            e.label for e in sorted(spec.edges) if e.direction == "out"
-        )
         # Direct pairs: every (in, out) combination within one block.
         pairs = []
         for program in sorted(set(self.block_ins) & set(self.block_outs)):
@@ -252,37 +250,26 @@ class _SpecIndex:
         """In-edges that read the data block this out-edge writes."""
         return self.readers_of.get(self.by_label[out_label].data, ())
 
-    def reachable_ins(self, start_in: str) -> set[str]:
-        """In-labels reachable from start_in through block and data hops."""
-        seen = {start_in}
-        stack = [start_in]
+    def outs_reached(self, in_label: str) -> set[str]:
+        """Out-labels a dataflow path joins to in_label; a fresh set per call."""
+        seen_ins = {in_label}
+        seen_outs: set[str] = set()
+        stack = [in_label]
         while stack:
             label = stack.pop()
-            program = self.by_label[label].program
-            for out in self.block_outs.get(program, ()):
-                for nxt in self.ins_of_out(out):
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return seen
-
-    def reaching_outs(self, target_out: str) -> set[str]:
-        """Out-labels from which target_out is reachable, target included."""
-        seen_outs = {target_out}
-        seen_ins: set[str] = set()
-        stack = [target_out]
-        while stack:
-            out = stack.pop()
-            program = self.by_label[out].program
-            for i in self.block_ins.get(program, ()):
-                if i in seen_ins:
+            for out in self.block_outs.get(self.by_label[label].program, ()):
+                if out in seen_outs:
                     continue
-                seen_ins.add(i)
-                for writer in self.writers_of.get(self.by_label[i].data, ()):
-                    if writer not in seen_outs:
-                        seen_outs.add(writer)
-                        stack.append(writer)
+                seen_outs.add(out)
+                for nxt in self.ins_of_out(out):
+                    if nxt not in seen_ins:
+                        seen_ins.add(nxt)
+                        stack.append(nxt)
         return seen_outs
+
+    def up_stream_pairs(self) -> set[tuple[str, str]]:
+        """All upstream pairs: one walk per in-label."""
+        return {(i, o) for i in self.in_labels for o in self.outs_reached(i)}
 
 
 def connected(output_label: str, input_label: str, spec: WorkflowSpec) -> bool:
@@ -305,28 +292,52 @@ def up_stream_pairs(spec: WorkflowSpec) -> set[tuple[str, str]]:
 
     A pair is included when the two edges sit on the same block, or when a
     chain of blocks joined through shared data blocks leads from the input
-    to the output. Computed as graph reachability, so cyclic workflows
-    terminate.
+    to the output. Materializes all pairs, one ``_SpecIndex.outs_reached``
+    walk per in-label; cyclic workflows terminate.
     """
-    index = _SpecIndex(spec)
-    pairs: set[tuple[str, str]] = set()
-    for start in index.in_labels:
-        seen_ins = {start}
-        seen_outs: set[str] = set()
-        stack = [start]
-        while stack:
-            label = stack.pop()
-            program = index.by_label[label].program
-            for out in index.block_outs.get(program, ()):
-                if out in seen_outs:
-                    continue
-                seen_outs.add(out)
-                for nxt in index.ins_of_out(out):
-                    if nxt not in seen_ins:
-                        seen_ins.add(nxt)
-                        stack.append(nxt)
-        pairs.update((start, out) for out in seen_outs)
-    return pairs
+    return _SpecIndex(spec).up_stream_pairs()
+
+
+def _annotation_edge_errors(
+    by_label: dict[str, Edge], annotation: Annotation, k: int
+) -> list[StructuralError]:
+    """Label and direction errors of annotation number k, input side first."""
+    errors = []
+    for label, want in ((annotation.input_edge, "in"), (annotation.output_edge, "out")):
+        edge = by_label.get(label)
+        if edge is None:
+            kind = "unknown-edge"
+            message = f"annotation references unknown edge label {label!r}"
+        elif edge.direction != want:
+            kind = "annotation-direction"
+            message = (
+                f"annotation uses {edge.direction}-edge {label!r} "
+                f"where an {want}-edge is required"
+            )
+        else:
+            continue
+        errors.append(StructuralError(kind, label, message, k))
+    return errors
+
+
+def _require_annotation_edges(
+    spec: WorkflowSpec, annotations: Iterable[Annotation]
+) -> dict[str, Edge]:
+    """Check each annotation names an in-edge and an out-edge; return edges by label.
+
+    Raises UnknownLabelError for the first unknown label, otherwise
+    StructuralValidationError with every annotation-direction error.
+    """
+    by_label = {e.label: e for e in spec.edges}
+    errors = []
+    for k, ann in enumerate(annotations):
+        errors.extend(_annotation_edge_errors(by_label, ann, k))
+    for err in errors:
+        if err.kind == "unknown-edge":
+            raise UnknownLabelError(err.subject)
+    if errors:
+        raise StructuralValidationError(errors)
+    return by_label
 
 
 def validate_structure(
@@ -338,9 +349,13 @@ def validate_structure(
     programs and data blocks, and each data block has at most one writer.
     Annotations must name an existing in-edge and out-edge, and a five-type
     annotation must sit on a pair joined by a dataflow path. The
-    reachability check runs only when the graph rules all pass.
+    reachability check runs only when the graph rules all pass, and only
+    per annotated pair: a same-block pair is upstream by definition, and a
+    cross-block pair costs one ``_SpecIndex.outs_reached`` walk per
+    distinct input label. The full upstream set is never built.
     """
     annotations = list(annotations)
+    index = _SpecIndex(spec)
     errors: list[StructuralError] = []
 
     label_counts = Counter(e.label for e in spec.edges)
@@ -371,11 +386,7 @@ def validate_structure(
                 )
             )
 
-    writers: dict[str, list[str]] = defaultdict(list)
-    for edge in sorted(spec.edges):
-        if edge.direction == "out":
-            writers[edge.data].append(edge.label)
-    for data, labels in sorted(writers.items()):
+    for data, labels in sorted(index.writers_of.items()):
         if len(labels) > 1:
             errors.append(
                 StructuralError(
@@ -386,32 +397,25 @@ def validate_structure(
                 )
             )
 
-    by_label = {e.label: e for e in spec.edges}
     for k, ann in enumerate(annotations):
-        for label, want in ((ann.input_edge, "in"), (ann.output_edge, "out")):
-            edge = by_label.get(label)
-            if edge is None:
-                kind = "unknown-edge"
-                message = f"annotation references unknown edge label {label!r}"
-            elif edge.direction != want:
-                kind = "annotation-direction"
-                message = (
-                    f"annotation uses {edge.direction}-edge {label!r} "
-                    f"where an {want}-edge is required"
-                )
-            else:
-                continue
-            errors.append(StructuralError(kind, label, message, k))
+        errors.extend(_annotation_edge_errors(index.by_label, ann, k))
 
     if not errors:
-        upstream = up_stream_pairs(spec)
+        reached: dict[str, set[str]] = {}
         for k, ann in enumerate(annotations):
-            if isinstance(ann.assertion, DependencyType) and ann.pair not in upstream:
+            if not isinstance(ann.assertion, DependencyType):
+                continue
+            i, o = ann.pair
+            if index.by_label[i].program == index.by_label[o].program:
+                continue
+            if i not in reached:
+                reached[i] = index.outs_reached(i)
+            if o not in reached[i]:
                 errors.append(
                     StructuralError(
                         "annotation-not-upstream",
-                        f"{ann.input_edge}->{ann.output_edge}",
-                        f"annotation {ann.input_edge!r} -> {ann.output_edge!r} "
+                        f"{i}->{o}",
+                        f"annotation {i!r} -> {o!r} "
                         f"({ann.assertion.display}) relates edges with no "
                         "dataflow path between them",
                         k,

@@ -22,6 +22,7 @@ optimum and the computation is safe on cyclic workflows.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
@@ -36,7 +37,6 @@ from .model import (
     UnknownLabelError,
     WorkflowSpec,
     _SpecIndex,
-    up_stream_pairs,
     validate_structure,
 )
 
@@ -139,32 +139,19 @@ def _simple_paths(index: _SpecIndex, input_label: str, output_label: str):
         return []
     if index.by_label[output_label].direction != "out":
         return []
+    # Depth-first over partial paths kept on an explicit stack, so path
+    # length is not bounded by the interpreter's recursion limit.
     paths: list[tuple[str, ...]] = []
-    path = [input_label]
-    used = {input_label}
-
-    def walk(in_label: str) -> None:
-        program = index.by_label[in_label].program
-        for out in index.block_outs.get(program, ()):
-            if out in used:
-                continue
-            path.append(out)
-            used.add(out)
+    stack = [(input_label,)]
+    while stack:
+        path = stack.pop()
+        for out in index.block_outs.get(index.by_label[path[-1]].program, ()):
             if out == output_label:
-                paths.append(tuple(path))
-            else:
+                paths.append(path + (out,))
+            elif out not in path:
                 for nxt in index.ins_of_out(out):
-                    if nxt in used:
-                        continue
-                    path.append(nxt)
-                    used.add(nxt)
-                    walk(nxt)
-                    path.pop()
-                    used.discard(nxt)
-            path.pop()
-            used.discard(out)
-
-    walk(input_label)
+                    if nxt not in path:
+                        stack.append(path + (out, nxt))
     return sorted(paths)
 
 
@@ -245,10 +232,18 @@ def path_type(
     if index.by_label[output_label].direction != "out":
         return None
     ranks = _rank_map(direct)
-    forward = index.reachable_ins(input_label)
-    backward = index.reaching_outs(output_label)
+    # A missing direct pair matters on the corridor: its input is reached
+    # from input_label, and a reader of its output's block reaches output_label.
+    forward = {input_label}
+    for out in index.outs_reached(input_label):
+        forward.update(index.ins_of_out(out))
+    leads_to_output = functools.cache(lambda i: output_label in index.outs_reached(i))
     for pair in index.direct_pairs:
-        if pair[0] in forward and pair[1] in backward and pair not in ranks:
+        if pair in ranks or pair[0] not in forward:
+            continue
+        if pair[1] == output_label or any(
+            leads_to_output(reader) for reader in index.ins_of_out(pair[1])
+        ):
             raise MissingDirectTypeError(pair)
     width = _widest(index, input_label, ranks).get(output_label)
     return None if width is None else DependencyType(width)
@@ -258,13 +253,11 @@ class _Reasoning:
     """Per-spec solver context: adjacency, upstream pairs, path cache."""
 
     def __init__(self, spec: WorkflowSpec):
-        self.spec = spec
         self.index = _SpecIndex(spec)
-        self.upstream: tuple[Pair, ...] = tuple(sorted(up_stream_pairs(spec)))
+        self.upstream: tuple[Pair, ...] = tuple(sorted(self.index.up_stream_pairs()))
         self.upstream_set = set(self.upstream)
         self.direct: tuple[Pair, ...] = self.index.direct_pairs
         self.direct_set = set(self.direct)
-        self.sources: tuple[str, ...] = tuple(sorted({i for i, _ in self.upstream}))
         self.pairs_by_source: dict[str, list[Pair]] = {}
         for pair in self.upstream:
             self.pairs_by_source.setdefault(pair[0], []).append(pair)
@@ -335,9 +328,9 @@ def _enumerate(ctx: _Reasoning, pinned: Mapping[Pair, DependencyType], max_model
 
     def leaf() -> None:
         values: dict[Pair, int] = {}
-        for source in ctx.sources:
+        for source, pairs in ctx.pairs_by_source.items():
             best = _widest(index, source, assigned)
-            for pair in ctx.pairs_by_source[source]:
+            for pair in pairs:
                 values[pair] = best[pair[1]]
         for pair in ctx.direct:
             if values[pair] != assigned[pair]:

@@ -178,8 +178,19 @@ def _resolve(trace: Trace, spec: WorkflowSpec) -> None:
                     )
 
 
-def _checkable_pairs(spec: WorkflowSpec, annotations: Iterable[Annotation]):
-    """Same-block (input, output, type) triples with a falsifiable condition."""
+def _checkable_pairs(
+    spec: WorkflowSpec, annotations: Iterable[Annotation], trace: Trace
+):
+    """Validate spec, annotations and trace; group same-block SameAs/ValueOf
+    (input, output, type) triples by block, sorted and deduplicated.
+
+    Raises StructuralValidationError, then TraceFormatError, like check_trace.
+    """
+    annotations = list(annotations)
+    errors = validate_structure(spec, annotations)
+    if errors:
+        raise StructuralValidationError(errors)
+    _resolve(trace, spec)
     by_label = {e.label: e for e in spec.edges}
     triples: dict[str, list[tuple[str, str, DependencyType]]] = {}
     for ann in annotations:
@@ -210,12 +221,7 @@ def check_trace(
     StructuralValidationError for a bad spec or annotation list and
     TraceFormatError when the trace does not resolve against the spec.
     """
-    annotations = list(annotations)
-    errors = validate_structure(spec, annotations)
-    if errors:
-        raise StructuralValidationError(errors)
-    _resolve(trace, spec)
-    triples = _checkable_pairs(spec, annotations)
+    triples = _checkable_pairs(spec, annotations, trace)
 
     violations: list[TraceViolation] = []
     for k, inv in enumerate(trace.invocations):
@@ -249,14 +255,8 @@ def warn_sameas_candidates(
     which may mean the annotation is weaker than it could be. Requires at
     least one witnessed write: an empty trace warns about nothing.
     """
-    annotations = list(annotations)
-    errors = validate_structure(spec, annotations)
-    if errors:
-        raise StructuralValidationError(errors)
-    _resolve(trace, spec)
-
+    triples = _checkable_pairs(spec, annotations, trace)
     candidates: dict[tuple[str, str], tuple[bool, bool]] = {}
-    triples = _checkable_pairs(spec, annotations)
     for k, inv in enumerate(trace.invocations):
         for input_edge, output_edge, dep_type in triples.get(inv.block, ()):
             if dep_type is not DependencyType.VALUE_OF:

@@ -17,6 +17,7 @@ import pytest
 
 from depanno import (
     DependencyType,
+    Edge,
     SolveResult,
     WorkflowSpec,
     parse_spec,
@@ -51,6 +52,20 @@ def sampler_span():
 @pytest.fixture(scope="session")
 def branch_merge():
     return load_workflow("branch_merge.wf")
+
+
+def chain_spec(n: int, name: str = "chain") -> WorkflowSpec:
+    """Blocks p1..pn in a line: block k reads d(k-1) on ik, writes dk on ok."""
+    edges = []
+    for k in range(1, n + 1):
+        edges.append(Edge(f"i{k}", f"p{k}", f"d{k - 1}", "in"))
+        edges.append(Edge(f"o{k}", f"p{k}", f"d{k}", "out"))
+    return WorkflowSpec(
+        name,
+        [f"p{k}" for k in range(1, n + 1)],
+        [f"d{k}" for k in range(n + 1)],
+        edges,
+    )
 
 
 def oracle_simple_paths(spec: WorkflowSpec, input_label: str, output_label: str):

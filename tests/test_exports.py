@@ -11,6 +11,7 @@ from depanno import (
     DependencyType,
     Edge,
     NOT_FLOWS_FROM,
+    StructuralValidationError,
     UnknownLabelError,
     UnsupportedExportError,
     WorkflowSpec,
@@ -86,6 +87,19 @@ class TestDot:
         spec, _ = normalize_filter
         with pytest.raises(UnknownLabelError):
             emit_dot(spec, [Annotation("ghost", "x2", SA)])
+
+
+@pytest.mark.parametrize("emit", [emit_dot, emit_asp_program])
+def test_reversed_annotation_is_rejected(chain_span, emit):
+    # x2 is an out-edge and x1 an in-edge: the annotation runs backwards
+    spec, _ = chain_span
+    with pytest.raises(StructuralValidationError) as info:
+        emit(spec, [Annotation("x2", "x1", SA)])
+    errors = info.value.errors
+    assert [(e.kind, e.subject, e.annotation) for e in errors] == [
+        ("annotation-direction", "x2", 0),
+        ("annotation-direction", "x1", 0),
+    ]
 
 
 class TestAspProgram:

@@ -15,18 +15,28 @@ from depanno import (
     DependencyType,
     Edge,
     NOT_FLOWS_FROM,
+    Trace,
     UnknownLabelError,
     WorkflowSpec,
     assertion_from_name,
+    check_consistency,
+    check_trace,
     compose,
     connected,
+    emit_asp_program,
+    emit_dot,
+    emit_spec,
+    infer,
+    parse_spec,
+    solve,
     up_stream_pairs,
     validate_structure,
     weaker,
 )
+from depanno.model import _SpecIndex
 from depanno.random_workflows import random_workflow
 
-from conftest import oracle_upstream
+from conftest import chain_spec, oracle_upstream
 
 ALL_TYPES = list(DependencyType)
 
@@ -175,6 +185,29 @@ class TestValidateStructure:
         )
         assert [e.kind for e in errors] == ["annotation-not-upstream"]
 
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_not_upstream_errors_match_oracle_on_random_workflows(self, seed):
+        rng = random.Random(seed)
+        spec = random_workflow(rng, max_blocks=6, cycle_prob=0.3)
+        ins = sorted(e.label for e in spec.edges if e.direction == "in")
+        outs = sorted(e.label for e in spec.edges if e.direction == "out")
+        if not ins or not outs:
+            return
+        kinds = list(DependencyType) + [NOT_FLOWS_FROM]
+        annotations = [
+            Annotation(rng.choice(ins), rng.choice(outs), rng.choice(kinds))
+            for _ in range(rng.randint(1, 10))
+        ]
+        upstream = oracle_upstream(spec)
+        errors = validate_structure(spec, annotations)
+        assert {e.kind for e in errors} <= {"annotation-not-upstream"}
+        assert [e.annotation for e in errors] == [
+            k
+            for k, a in enumerate(annotations)
+            if isinstance(a.assertion, DependencyType) and a.pair not in upstream
+        ]
+
     def test_notflowsfrom_is_not_a_structural_matter(self):
         spec = two_block_chain()
         assert validate_structure(spec, [Annotation("x3", "x2", NOT_FLOWS_FROM)]) == []
@@ -242,3 +275,60 @@ class TestReachability:
             for i in ports["in"]:
                 for o in ports["out"]:
                     assert (i, o) in upstream
+
+
+class TestOneWalk:
+    """Only solving materializes the upstream set; everything else walks
+    at most once per distinct input of an annotated cross-block pair."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        original = _SpecIndex.outs_reached
+
+        def counting(index, in_label):
+            calls.append(in_label)
+            return original(index, in_label)
+
+        monkeypatch.setattr(_SpecIndex, "outs_reached", counting)
+        return calls
+
+    @staticmethod
+    def same_block_chain():
+        spec = chain_spec(4)
+        annotations = [
+            Annotation(f"i{k}", f"o{k}", DependencyType.SAME_AS) for k in (1, 2, 3)
+        ]
+        return spec, annotations
+
+    @staticmethod
+    def count(walks, call) -> int:
+        walks.clear()
+        call()
+        return len(walks)
+
+    def test_validation_trace_and_exports_never_walk_same_block_pairs(self, walks):
+        spec, annotations = self.same_block_chain()
+        text = emit_spec(spec, annotations)
+        trace = Trace(spec.name, ())
+        assert self.count(walks, lambda: parse_spec(text)) == 0
+        assert self.count(walks, lambda: validate_structure(spec, annotations)) == 0
+        assert self.count(walks, lambda: check_trace(spec, annotations, trace)) == 0
+        assert self.count(walks, lambda: emit_dot(spec, annotations)) == 0
+        assert self.count(walks, lambda: emit_asp_program(spec, annotations)) == 0
+
+    def test_one_span_annotation_adds_one_walk(self, walks):
+        spec, annotations = self.same_block_chain()
+        annotations.append(Annotation("i1", "o4", DependencyType.SAME_AS))
+        text = emit_spec(spec, annotations)
+        trace = Trace(spec.name, ())
+        assert self.count(walks, lambda: parse_spec(text)) == 1
+        assert self.count(walks, lambda: validate_structure(spec, annotations)) == 1
+        assert self.count(walks, lambda: check_trace(spec, annotations, trace)) == 1
+        assert self.count(walks, lambda: emit_dot(spec, annotations)) == 0
+
+    def test_reasoning_walks_once_per_in_label(self, walks):
+        spec, annotations = self.same_block_chain()
+        assert self.count(walks, lambda: solve(spec, annotations)) == 4
+        assert self.count(walks, lambda: check_consistency(spec, annotations)) == 4
+        assert self.count(walks, lambda: infer(spec, annotations)) == 4

@@ -33,8 +33,10 @@ from depanno.random_workflows import random_annotations, random_workflow
 from conftest import (
     BruteForceCapError,
     brute_force_solve,
+    chain_spec,
     oracle_path_type,
     oracle_simple_paths,
+    oracle_upstream,
     sample_oracle_case,
 )
 
@@ -114,6 +116,12 @@ class TestSimplePaths:
                         spec, i, o
                     )
 
+    def test_long_chain_does_not_exhaust_the_stack(self):
+        spec = chain_spec(1500)
+        paths = simple_paths("i1", "o1500", spec)
+        assert len(paths) == 1
+        assert len(paths[0]) == 3000
+
 
 class TestPathType:
     def test_weakest_link_then_strongest_path(self, branch_merge):
@@ -168,6 +176,53 @@ class TestPathType:
                 assert path_type(i, o, direct, spec) == oracle_path_type(
                     spec, i, o, direct
                 )
+
+    @given(st.integers(min_value=0, max_value=10_000))
+    @settings(max_examples=80, deadline=None)
+    def test_partial_maps_raise_exactly_on_the_corridor(self, seed):
+        rng = random.Random(seed)
+        spec = random_workflow(rng, max_blocks=6, cycle_prob=0.3)
+        upstream = oracle_upstream(spec)
+        data_of = {e.label: e.data for e in spec.edges}
+        ins = sorted(e.label for e in spec.edges if e.direction == "in")
+        outs = sorted(e.label for e in spec.edges if e.direction == "out")
+        direct_pairs = sorted(
+            (e.label, f.label)
+            for e in spec.edges
+            for f in spec.edges
+            if e.direction == "in" and f.direction == "out" and e.program == f.program
+        )
+        direct = {
+            pair: DependencyType(rng.randrange(5))
+            for pair in direct_pairs
+            if rng.random() < 0.7
+        }
+
+        def on_corridor(pair, input_label, output_label):
+            i, o = pair
+            from_input = i == input_label or any(
+                (input_label, w) in upstream and data_of[w] == data_of[i] for w in outs
+            )
+            to_output = o == output_label or any(
+                (r, output_label) in upstream and data_of[r] == data_of[o] for r in ins
+            )
+            return from_input and to_output
+
+        for i in ins:
+            for o in outs:
+                missing = [
+                    pair
+                    for pair in direct_pairs
+                    if pair not in direct and on_corridor(pair, i, o)
+                ]
+                if missing:
+                    with pytest.raises(MissingDirectTypeError) as info:
+                        path_type(i, o, direct, spec)
+                    assert info.value.pair == missing[0]
+                else:
+                    assert path_type(i, o, direct, spec) == oracle_path_type(
+                        spec, i, o, direct
+                    )
 
 
 class TestSolveFixtures:
