@@ -17,7 +17,7 @@ from pathlib import Path
 from .dsl import parse_spec
 from .exports import UnsupportedExportError, emit_asp_program, emit_dot
 from .model import DependencyType
-from .reasoner import Conflict, check_consistency, entailed_annotations, solve
+from .reasoner import Conflict, _solve, check_consistency, entailed_annotations, solve
 from .trace import TraceFormatError, check_trace, parse_trace, warn_sameas_candidates
 
 
@@ -112,35 +112,35 @@ def _conflict_payload(conflict: Conflict) -> dict:
     }
 
 
-def _report_consistency(spec, annotations, fmt: str) -> int:
-    conflicts = check_consistency(spec, annotations)
+def _report_consistency(name: str, conflicts: list[Conflict], fmt: str) -> int:
     if fmt == "json":
         _print_json(
             {
-                "workflow": spec.name,
+                "workflow": name,
                 "consistent": not conflicts,
                 "conflicts": [_conflict_payload(c) for c in conflicts],
             }
         )
     elif conflicts:
-        print(f"inconsistent: {spec.name}")
+        print(f"inconsistent: {name}")
         for conflict in conflicts:
             _print_conflict(conflict)
     else:
-        print(f"consistent: {spec.name}")
+        print(f"consistent: {name}")
     return ExitStatus.INCONSISTENT if conflicts else ExitStatus.OK
 
 
 def cmd_validate(args) -> int:
     spec, annotations = _load_workflow(args.workflow)
-    return _report_consistency(spec, annotations, args.format)
+    conflicts = check_consistency(spec, annotations)
+    return _report_consistency(spec.name, conflicts, args.format)
 
 
 def cmd_infer(args) -> int:
     spec, annotations = _load_workflow(args.workflow)
-    result = solve(spec, annotations, max_models=args.max_models)
+    result, conflicts = _solve(spec, annotations, args.max_models, explain=True)
     if not result.consistent:
-        return _report_consistency(spec, annotations, args.format)
+        return _report_consistency(spec.name, conflicts, args.format)
     if result.truncated:
         print(
             f"note: stopped after {args.max_models} answer sets; "

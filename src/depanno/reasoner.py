@@ -13,17 +13,20 @@ Only the direct pairs are free variables. Every multi-block pair's value is
 a consequence of the direct choices, so the search walks direct assignments,
 derives the rest, and checks user pins.
 
-Strongest-path values are computed with a widest-path (maximize the minimum)
-variant of Dijkstra over the edge-label graph. Dropping a cycle from a walk
-never lowers the walk's minimum, so the walk optimum equals the simple-path
-optimum and the computation is safe on cyclic workflows.
+Strongest-path values come from threshold reachability: with five ranks, a
+pair's value is at least t exactly when its output is reachable from its
+input over direct hops of rank >= t. One pass over the in-labels, in
+strongly-connected-component order, yields these closures for every source
+and all four thresholds at once, as Python-int bitsets. Dropping a cycle
+from a walk never lowers the walk's minimum, so reachability over walks
+equals the simple-path optimum and the computation is safe on cyclic
+workflows.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import heapq
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional
 
@@ -41,6 +44,9 @@ from .model import (
 )
 
 Pair = tuple[str, str]
+
+# Rank to type by indexing, without an enum call per value.
+_TYPES: tuple[DependencyType, ...] = tuple(DependencyType)
 
 # Model cap while searching for a conflict explanation; only reason quality
 # depends on it, never correctness of the consistency verdict.
@@ -94,7 +100,10 @@ class SolveResult:
     ``options`` maps each upstream pair to the sorted distinct values it
     takes across the returned sets; ``entailed`` keeps the singletons.
     ``truncated`` is set when enumeration stopped at the model cap, in which
-    case options may be incomplete.
+    case options may be incomplete. A truncated result is not the canonical
+    prefix of the whole answer-set family: it holds the first ``max_models
+    + 1`` models in search order, sorted canonically, with the first
+    ``max_models`` of them kept.
     """
 
     answer_sets: tuple[dict, ...]
@@ -178,36 +187,149 @@ def _rank_map(direct: Mapping[Pair, DependencyType]) -> dict[Pair, int]:
     return {pair: int(DependencyType(t)) for pair, t in direct.items()}
 
 
-def _widest(index: _SpecIndex, start: str, ranks: Mapping[Pair, int]) -> dict[str, int]:
-    """Best bottleneck rank from one in-label to every reachable label.
+def _sink_first_components(succ: list[list[int]]) -> list[list[int]]:
+    """Strongly connected components of a graph on 0..n-1, sinks first.
 
-    In-to-out hops inside a block bottleneck on the direct pair's rank;
-    out-to-in hops through a data block carry the value unchanged. Direct
-    pairs missing from ``ranks`` are treated as absent hops.
+    Tarjan's algorithm with an explicit work stack: a component is emitted
+    only after every component it reaches, and graph depth is not bounded
+    by the interpreter's recursion limit.
     """
-    best = {start: 5}
-    heap = [(-5, start)]
-    while heap:
-        negw, label = heapq.heappop(heap)
-        width = -negw
-        if width < best.get(label, -1):
+    number = [0] * len(succ)
+    low = [0] * len(succ)
+    # A node placed in a component gets a number above every live one, so
+    # it can no longer lower anyone's low-link.
+    placed = len(succ) + 1
+    stack: list[int] = []
+    components: list[list[int]] = []
+    counter = 0
+    for root in range(len(succ)):
+        if number[root]:
             continue
-        edge = index.by_label[label]
-        if edge.direction == "in":
-            for out in index.block_outs.get(edge.program, ()):
-                rank = ranks.get((label, out))
-                if rank is None:
-                    continue
-                value = min(width, rank)
-                if value > best.get(out, -1):
-                    best[out] = value
-                    heapq.heappush(heap, (-value, out))
-        else:
-            for nxt in index.ins_of_out(label):
-                if width > best.get(nxt, -1):
-                    best[nxt] = width
-                    heapq.heappush(heap, (-width, nxt))
-    return best
+        counter += 1
+        number[root] = low[root] = counter
+        stack.append(root)
+        work = [(root, iter(succ[root]))]
+        while work:
+            node, successors = work[-1]
+            for nxt in successors:
+                if not number[nxt]:
+                    counter += 1
+                    number[nxt] = low[nxt] = counter
+                    stack.append(nxt)
+                    work.append((nxt, iter(succ[nxt])))
+                    break
+                if number[nxt] < low[node]:
+                    low[node] = number[nxt]
+            else:
+                work.pop()
+                if work and low[node] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[node]
+                if low[node] == number[node]:
+                    component = []
+                    while True:
+                        member = stack.pop()
+                        number[member] = placed
+                        component.append(member)
+                        if member == node:
+                            break
+                    components.append(component)
+    return components
+
+
+class _Thresholds:
+    """Threshold-reachability closures over one spec's in-labels.
+
+    A pair's strongest-path value is at least t exactly when its output is
+    reachable from its input over direct hops of rank >= t alone (the
+    threshold decomposition of the bottleneck-path problem). ``reach``
+    answers this for every in-label at once: one Python int per in-label,
+    packing four lanes of one bit per out-label, where bit ``bit[o]`` of
+    lane t (t = 1..4) says out-label o is reachable at threshold t.
+    Threshold 0 is plain reachability, ``_SpecIndex.outs_reached``.
+
+    In-labels are visited in strongly-connected-component order, sinks
+    first, so an in-label off every cycle is final after one visit and only
+    cyclic components iterate to a fixpoint.
+    """
+
+    def __init__(self, index: _SpecIndex):
+        self.bit: dict[str, int] = {}
+        for label, edge in index.by_label.items():
+            if edge.direction == "out":
+                self.bit[label] = len(self.bit)
+        width = len(self.bit)
+        self.at = {label: n for n, label in enumerate(index.in_labels)}
+        # lanes[r]: lanes 1..r, the ones a hop of rank r feeds; above[r]:
+        # lane r+1 alone, where a direct pair of rank r must stay unreached;
+        # spread: the lowest bit of every lane, so a value is a bit count.
+        self.lanes = tuple([(1 << r * width) - 1 for r in range(5)])
+        self.above = tuple([self.lanes[r + 1] ^ self.lanes[r] for r in range(4)] + [0])
+        self.spread = 1 | 1 << width | 1 << 2 * width | 1 << 3 * width
+        # Per in-label, one hop per out of its block: (direct-pair index,
+        # the out's bit in every lane, in-labels reading the out's block).
+        hop = {pair: h for h, pair in enumerate(index.direct_pairs)}
+        readers: dict[str, tuple[int, ...]] = {}
+        self.hops: list[tuple[tuple[int, int, tuple[int, ...]], ...]] = []
+        succ: list[list[int]] = []
+        for i in index.in_labels:
+            row = []
+            successors: list[int] = []
+            for o in index.block_outs.get(index.by_label[i].program, ()):
+                if o not in readers:
+                    readers[o] = tuple([self.at[j] for j in index.ins_of_out(o)])
+                row.append((hop[(i, o)], self.spread << self.bit[o], readers[o]))
+                successors.extend(readers[o])
+            self.hops.append(tuple(row))
+            succ.append(successors)
+        # An acyclic in-label is stored as an int, a cyclic component (or an
+        # in-label whose block reads its own output) as a tuple.
+        self.order: list = [
+            tuple(c) if len(c) > 1 or c[0] in succ[c[0]] else c[0]
+            for c in _sink_first_components(succ)
+        ]
+
+    def reach(self, ranks: list[int], lanes: tuple[int, ...], exact: bool = False):
+        """Packed closures per in-label, indexed like ``_SpecIndex.in_labels``.
+
+        ``ranks`` holds one rank per direct pair, indexed like
+        ``_SpecIndex.direct_pairs``; a hop of rank r feeds ``lanes[r]``, so
+        masked lanes stay empty. With ``exact``, returns None as soon as a
+        direct pair's strongest-path value exceeds its own rank.
+        """
+        closure = [0] * len(self.hops)
+        hops = self.hops
+        above = self.above
+        for step in self.order:
+            if step.__class__ is int:
+                reached = over = 0
+                for h, bits, readers in hops[step]:
+                    rank = ranks[h]
+                    over |= above[rank] & bits
+                    for j in readers:
+                        bits |= closure[j]
+                    reached |= bits & lanes[rank]
+                if exact and reached & over:
+                    return None
+                closure[step] = reached
+                continue
+            changed = True
+            while changed:
+                changed = False
+                for i in step:
+                    reached = closure[i]
+                    for h, bits, readers in hops[i]:
+                        for j in readers:
+                            bits |= closure[j]
+                        reached |= bits & lanes[ranks[h]]
+                    if reached != closure[i]:
+                        closure[i] = reached
+                        changed = True
+            if exact:
+                for i in step:
+                    for h, bits, _ in hops[i]:
+                        if closure[i] & bits & above[ranks[h]]:
+                            return None
+        return closure
 
 
 def path_type(
@@ -234,8 +356,9 @@ def path_type(
     ranks = _rank_map(direct)
     # A missing direct pair matters on the corridor: its input is reached
     # from input_label, and a reader of its output's block reaches output_label.
+    reached = index.outs_reached(input_label)
     forward = {input_label}
-    for out in index.outs_reached(input_label):
+    for out in reached:
         forward.update(index.ins_of_out(out))
     leads_to_output = functools.cache(lambda i: output_label in index.outs_reached(i))
     for pair in index.direct_pairs:
@@ -245,23 +368,48 @@ def path_type(
             leads_to_output(reader) for reader in index.ins_of_out(pair[1])
         ):
             raise MissingDirectTypeError(pair)
-    width = _widest(index, input_label, ranks).get(output_label)
-    return None if width is None else DependencyType(width)
+    if output_label not in reached:
+        return None
+    # Every hop on a path between the endpoints has a rank now; a missing
+    # pair off the corridor may take rank 0, which feeds no lane.
+    thresholds = _Thresholds(index)
+    closure = thresholds.reach(
+        [ranks.get(pair, 0) for pair in index.direct_pairs], thresholds.lanes
+    )
+    lanes = closure[thresholds.at[input_label]] >> thresholds.bit[output_label]
+    return _TYPES[(lanes & thresholds.spread).bit_count()]
 
 
 class _Reasoning:
-    """Per-spec solver context: adjacency, upstream pairs, path cache."""
+    """Per-spec solver context: adjacency, upstream pairs, threshold
+    closures, path cache."""
 
     def __init__(self, spec: WorkflowSpec):
         self.index = _SpecIndex(spec)
-        self.upstream: tuple[Pair, ...] = tuple(sorted(self.index.up_stream_pairs()))
-        self.upstream_set = set(self.upstream)
+        self.upstream_set = self.index.up_stream_pairs()
+        self.upstream: tuple[Pair, ...] = tuple(sorted(self.upstream_set))
         self.direct: tuple[Pair, ...] = self.index.direct_pairs
         self.direct_set = set(self.direct)
-        self.pairs_by_source: dict[str, list[Pair]] = {}
-        for pair in self.upstream:
-            self.pairs_by_source.setdefault(pair[0], []).append(pair)
+        self.thresholds = _Thresholds(self.index)
+        self._slots: Optional[tuple] = None
         self._paths: dict[Pair, tuple[tuple[str, ...], ...]] = {}
+
+    def slots(self) -> tuple:
+        """Upstream pairs grouped for reading a model off a closure: per
+        source, its in-label index, its pairs and their out bits. Built on
+        first use, since a search that reaches no leaf never needs it."""
+        if self._slots is None:
+            at, bit = self.thresholds.at, self.thresholds.bit
+            groups: dict[str, list[Pair]] = {}
+            for pair in self.upstream:
+                groups.setdefault(pair[0], []).append(pair)
+            self._slots = tuple(
+                [
+                    (at[source], tuple(pairs), tuple([bit[o] for _, o in pairs]))
+                    for source, pairs in groups.items()
+                ]
+            )
+        return self._slots
 
     def paths(self, pair: Pair) -> tuple[tuple[str, ...], ...]:
         cached = self._paths.get(pair)
@@ -295,50 +443,78 @@ def _split_annotations(annotations: Iterable[Annotation]):
 def _enumerate(ctx: _Reasoning, pinned: Mapping[Pair, DependencyType], max_models: int):
     """Backtracking search over unpinned direct pairs.
 
-    Returns (models, truncated): up to ``max_models`` full assignments in
-    discovery order, each mapping every upstream pair to its type.
+    Returns (models, truncated): up to ``max_models + 1`` full assignments
+    in discovery order, each mapping every upstream pair to its type;
+    ``truncated`` says more than ``max_models`` were found.
     """
-    index = ctx.index
-    pinned_direct = {p: int(t) for p, t in pinned.items() if p in ctx.direct_set}
-    pinned_indirect = {p: int(t) for p, t in pinned.items() if p not in ctx.direct_set}
-    free = [p for p in ctx.direct if p not in pinned_direct]
-    watch: dict[str, list[tuple[Pair, int]]] = {}
-    for pair, t in sorted(pinned.items()):
-        watch.setdefault(pair[0], []).append((pair, int(t)))
-
-    assigned: dict[Pair, int] = dict(pinned_direct)
+    th = ctx.thresholds
+    # Direct-pair ranks under the two monotone envelopes: unassigned pairs
+    # all-weakest in ``low``, all-strongest in ``high``; equal at a leaf.
+    low = [0] * len(ctx.direct)
+    high = [4] * len(ctx.direct)
+    for h, pair in enumerate(ctx.direct):
+        if pair in pinned:
+            low[h] = high[h] = int(pinned[pair])
+    free = [h for h, pair in enumerate(ctx.direct) if pair not in pinned]
+    # A pin to t needs its output unreached in lane t+1 of the low envelope
+    # and reached in lane t of the high one; lane 0 (plain reachability)
+    # holds for every pin, since only upstream pairs can be pinned.
+    too_strong: dict[int, int] = {}
+    too_weak: dict[int, int] = {}
+    low_lanes = high_lanes = 0
+    indirect = []
+    for (i, o), t in pinned.items():
+        t = int(t)
+        source, bit = th.at[i], th.spread << th.bit[o]
+        over = bit & th.above[t]
+        reach = bit & th.above[t - 1] if t else 0
+        if over:
+            too_strong[source] = too_strong.get(source, 0) | over
+            low_lanes |= th.above[t]
+        if reach:
+            too_weak[source] = too_weak.get(source, 0) | reach
+            high_lanes |= th.above[t - 1]
+        if (i, o) not in ctx.direct_set:
+            indirect.append((source, reach, over))
+    low_lanes_by_rank = tuple([lanes & low_lanes for lanes in th.lanes])
+    high_lanes_by_rank = tuple([lanes & high_lanes for lanes in th.lanes])
+    # Per source, the types its pairs take under each closure seen so far:
+    # models differ in few hops, so most sources repeat a closure.
+    decoded: list[dict[int, tuple[DependencyType, ...]]] = [{} for _ in th.hops]
     models: list[dict] = []
     limit = max_models + 1
 
     def bounds_ok() -> bool:
-        # monotone envelope: unassigned direct pairs all-weakest vs all-strongest
-        if not watch:
-            return True
-        low = {p: 0 for p in free}
-        low.update(assigned)
-        high = {p: 4 for p in free}
-        high.update(assigned)
-        for source, targets in watch.items():
-            best_low = _widest(index, source, low)
-            best_high = _widest(index, source, high)
-            for pair, want in targets:
-                if want < best_low.get(pair[1], -1) or want > best_high.get(pair[1], -1):
+        if too_strong:
+            closure = th.reach(low, low_lanes_by_rank)
+            for source, over in too_strong.items():
+                if closure[source] & over:
+                    return False
+        if too_weak:
+            closure = th.reach(high, high_lanes_by_rank)
+            for source, reach in too_weak.items():
+                if closure[source] & reach != reach:
                     return False
         return True
 
     def leaf() -> None:
-        values: dict[Pair, int] = {}
-        for source, pairs in ctx.pairs_by_source.items():
-            best = _widest(index, source, assigned)
-            for pair in pairs:
-                values[pair] = best[pair[1]]
-        for pair in ctx.direct:
-            if values[pair] != assigned[pair]:
+        closure = th.reach(low, th.lanes, exact=True)
+        if closure is None:
+            return
+        for source, reach, over in indirect:
+            if closure[source] & reach != reach or closure[source] & over:
                 return
-        for pair, want in pinned_indirect.items():
-            if values[pair] != want:
-                return
-        models.append({p: DependencyType(v) for p, v in values.items()})
+        model: dict[Pair, DependencyType] = {}
+        for source, pairs, bits in ctx.slots():
+            lanes = closure[source]
+            seen = decoded[source]
+            values = seen.get(lanes)
+            if values is None:
+                values = seen[lanes] = tuple(
+                    _TYPES[((lanes >> bit) & th.spread).bit_count()] for bit in bits
+                )
+            model.update(zip(pairs, values))
+        models.append(model)
 
     def search(k: int) -> None:
         if len(models) >= limit:
@@ -346,14 +522,15 @@ def _enumerate(ctx: _Reasoning, pinned: Mapping[Pair, DependencyType], max_model
         if k == len(free):
             leaf()
             return
-        pair = free[k]
+        h = free[k]
         for rank in range(5):
-            assigned[pair] = rank
+            low[h] = high[h] = rank
             if bounds_ok():
                 search(k + 1)
             if len(models) >= limit:
                 break
-        del assigned[pair]
+        low[h] = 0
+        high[h] = 4
 
     if bounds_ok():
         search(0)
@@ -405,17 +582,37 @@ def solve(
     Searches only the unpinned direct pairs; multi-block values follow from
     the strongest-path rule and are checked against user pins. Returns at
     most ``max_models`` sets in canonical order with ``truncated`` set when
-    more exist. A violated NotFlowsFrom assertion or a pair pinned to two
-    types yields zero sets. Raises StructuralValidationError on an invalid
-    workflow or annotation list.
+    more exist; a truncated result keeps the canonically first
+    ``max_models`` of the first ``max_models + 1`` sets the search finds,
+    not the first ``max_models`` of the whole family. A violated
+    NotFlowsFrom assertion or a pair pinned to two types yields zero sets.
+    Raises StructuralValidationError on an invalid workflow or annotation
+    list.
+    """
+    return _solve(spec, annotations, max_models, explain=False)[0]
+
+
+def _solve(
+    spec: WorkflowSpec, annotations: Iterable[Annotation], max_models: int, explain: bool
+) -> tuple[SolveResult, list[Conflict]]:
+    """solve's result and, with ``explain``, check_consistency's conflicts.
+
+    Both come from one validation, one context and one search: when the
+    search finds no answer set, the explanation starts from that verdict
+    instead of searching for a first model again. Without ``explain``, or
+    with answer sets, the conflict list is empty.
     """
     if max_models < 1:
         raise ValueError("max_models must be at least 1")
     ctx, pinned, nff, contradictory = _prepare(spec, annotations)
     if contradictory or any(pair in ctx.upstream_set for pair in nff):
-        return _result(ctx, [], False)
+        conflicts = _conflicts(ctx, pinned, nff, contradictory) if explain else []
+        return _result(ctx, [], False), conflicts
     models, truncated = _enumerate(ctx, pinned, max_models)
-    return _result(ctx, models, truncated, limit=max_models)
+    conflicts = []
+    if explain and not models:
+        conflicts = _conflicts(ctx, pinned, nff, contradictory, models)
+    return _result(ctx, models, truncated, limit=max_models), conflicts
 
 
 def entailed_annotations(
@@ -536,7 +733,19 @@ def check_consistency(
     drop that restores satisfiability yields one witnessed conflict. Raises
     StructuralValidationError on an invalid workflow or annotation list.
     """
-    ctx, pinned, nff, contradictory = _prepare(spec, annotations)
+    return _conflicts(*_prepare(spec, annotations))
+
+
+def _conflicts(
+    ctx: _Reasoning,
+    pinned: Mapping[Pair, DependencyType],
+    nff: set[Pair],
+    contradictory: list,
+    models: Optional[list] = None,
+) -> list[Conflict]:
+    """check_consistency's report on a prepared context. ``models`` is what
+    a search over ``pinned`` already returned, if one was made; otherwise
+    the first model is searched for here."""
     conflicts: list[Conflict] = []
     direct_pins = {p: int(t) for p, t in pinned.items() if p in ctx.direct_set}
 
@@ -553,7 +762,8 @@ def check_consistency(
     for pair, _first, second in contradictory:
         conflicts.append(_classify(ctx, pair, second, direct_pins, None))
 
-    models, _ = _enumerate(ctx, pinned, 1)
+    if models is None:
+        models, _ = _enumerate(ctx, pinned, 1)
     if models:
         return conflicts
     conflicts.extend(_explain(ctx, pinned))
@@ -573,9 +783,9 @@ def infer(
     conflicts) when no answer set exists.
     """
     annotations = list(annotations)
-    result = solve(spec, annotations, max_models=max_models)
+    result, conflicts = _solve(spec, annotations, max_models, explain=True)
     if not result.consistent:
-        raise InconsistentWorkflowError(check_consistency(spec, annotations))
+        raise InconsistentWorkflowError(conflicts)
     user_pairs = {
         a.pair for a in annotations if isinstance(a.assertion, DependencyType)
     }

@@ -157,8 +157,8 @@ def test_06_composition_is_a_lattice_meet():
 
 
 def test_07_path_type_matches_exhaustive_enumeration_on_100_dags():
-    """Widest-path computation equals literal max-over-paths of
-    min-over-hops on random acyclic workflows."""
+    """Strongest-path values from threshold reachability equal literal
+    max-over-paths of min-over-hops on random acyclic workflows."""
     start = time.perf_counter()
     checked_pairs = 0
     for seed in range(100):

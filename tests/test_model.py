@@ -14,6 +14,7 @@ from depanno import (
     Annotation,
     DependencyType,
     Edge,
+    InconsistentWorkflowError,
     NOT_FLOWS_FROM,
     Trace,
     UnknownLabelError,
@@ -33,10 +34,12 @@ from depanno import (
     validate_structure,
     weaker,
 )
+from depanno import reasoner
+from depanno.cli import main
 from depanno.model import _SpecIndex
 from depanno.random_workflows import random_workflow
 
-from conftest import chain_spec, oracle_upstream
+from conftest import WORKFLOWS, chain_spec, oracle_upstream
 
 ALL_TYPES = list(DependencyType)
 
@@ -332,3 +335,45 @@ class TestOneWalk:
         assert self.count(walks, lambda: solve(spec, annotations)) == 4
         assert self.count(walks, lambda: check_consistency(spec, annotations)) == 4
         assert self.count(walks, lambda: infer(spec, annotations)) == 4
+
+    def test_infer_explains_from_its_own_search(
+        self, walks, monkeypatch, capsys, sampler_span
+    ):
+        """On inconsistent input, infer (library and CLI) validates, indexes,
+        walks and searches exactly as much as check_consistency alone."""
+        builds = []
+        build = _SpecIndex.__init__
+        searches = []
+        search = reasoner._enumerate
+
+        def counting_build(index, spec):
+            builds.append(spec.name)
+            build(index, spec)
+
+        def counting_search(ctx, pinned, max_models):
+            searches.append(len(pinned))
+            return search(ctx, pinned, max_models)
+
+        monkeypatch.setattr(_SpecIndex, "__init__", counting_build)
+        monkeypatch.setattr(reasoner, "_enumerate", counting_search)
+        spec, annotations = sampler_span
+
+        def costs(call):
+            walks.clear()
+            builds.clear()
+            searches.clear()
+            call()
+            return len(walks), len(builds), searches[:]
+
+        def infer_inconsistent():
+            with pytest.raises(InconsistentWorkflowError):
+                infer(spec, annotations)
+
+        path = str(WORKFLOWS / "sampler_span.wf")
+        alone = costs(lambda: check_consistency(spec, annotations))
+        assert alone[:2] == (3, 2)
+        assert costs(infer_inconsistent) == alone
+        assert costs(lambda: main(["infer", path])) == costs(
+            lambda: main(["validate", path])
+        )
+        capsys.readouterr()

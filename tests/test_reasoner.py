@@ -325,6 +325,35 @@ class TestSolveSemantics:
         full = solve(spec, annotations)
         assert list(result.answer_sets) == list(full.answer_sets[:3])
 
+    def test_truncated_result_follows_search_order(self):
+        # P: a -> z; Q reads z's data block on q and writes b. The search
+        # walks (a,z) before (q,b), so it finds (a,z)=1, (q,b)=1 before the
+        # canonically earlier (a,z)=2, (q,b)=0.
+        spec = WorkflowSpec(
+            "two",
+            ["P", "Q"],
+            ["d0", "dz", "db"],
+            [
+                Edge("a", "P", "d0", "in"),
+                Edge("z", "P", "dz", "out"),
+                Edge("q", "Q", "dz", "in"),
+                Edge("b", "Q", "db", "out"),
+            ],
+        )
+
+        def ranks(result):
+            return [
+                tuple(int(m[p]) for p in (("a", "b"), ("a", "z"), ("q", "b")))
+                for m in result.answer_sets
+            ]
+
+        full = solve(spec)
+        assert len(full.answer_sets) == 25 and not full.truncated
+        assert ranks(full)[5:7] == [(0, 1, 0), (0, 2, 0)]
+        cut = solve(spec, max_models=7)
+        assert cut.truncated
+        assert ranks(cut) == [(0, 0, v) for v in range(5)] + [(0, 1, 0), (1, 1, 1)]
+
     def test_exact_model_count_is_not_truncated(self, chain_span):
         spec, annotations = chain_span
         result = solve(spec, annotations, max_models=5)
@@ -503,6 +532,49 @@ class TestInfer:
         ]
 
 
+def _cycle_shapes(spec: WorkflowSpec) -> tuple[bool, bool]:
+    """(some block reads its own output, some cycle spans several blocks)."""
+    writer = {e.data: e.program for e in spec.edges if e.direction == "out"}
+    feeds = {p: set() for p in spec.programs}
+    for e in spec.edges:
+        if e.direction == "in" and e.data in writer:
+            feeds[writer[e.data]].add(e.program)
+    reach = {p: set(q) for p, q in feeds.items()}
+    for k in spec.programs:
+        for p in spec.programs:
+            if k in reach[p]:
+                reach[p] |= reach[k]
+    self_loop = any(p in feeds[p] for p in spec.programs)
+    spanning = any(q != p and p in reach[q] for p in spec.programs for q in reach[p])
+    return self_loop, spanning
+
+
+def cyclic_oracle_cases(spanning: int, self_loops: int):
+    """Seeded cyclic draws small enough to brute force: ``spanning`` with a
+    cycle through several blocks, then ``self_loops`` whose only cycles are
+    blocks reading their own output. Each case is (seed, spec, annotations,
+    rng), the rng left ready for further draws."""
+    wanted = {True: spanning, False: self_loops}
+    found: dict[bool, list] = {True: [], False: []}
+    for seed in range(10_000):
+        rng = random.Random(90_000 + seed)
+        spec = random_workflow(rng, max_blocks=5, cycle_prob=(0.5, 0.8)[seed % 2])
+        self_loop, spans = _cycle_shapes(spec)
+        if not (self_loop or spans) or len(found[spans]) == wanted[spans]:
+            continue
+        upstream = up_stream_pairs(spec)
+        if len(upstream) > 10:
+            continue
+        annotations = random_annotations(rng, spec)
+        pinned = {a.pair for a in annotations if isinstance(a.assertion, DependencyType)}
+        if 5 ** len(upstream - pinned) > 20_000:
+            continue
+        found[spans].append((seed, spec, annotations, rng))
+        if all(len(found[k]) == wanted[k] for k in wanted):
+            break
+    return found[True] + found[False]
+
+
 class TestBruteForceOracle:
     def test_cap_is_enforced(self, branch_merge):
         spec, annotations = branch_merge
@@ -544,3 +616,23 @@ class TestBruteForceOracle:
             if compared >= 80:
                 break
         assert compared >= 50
+
+    def test_agrees_with_solver_on_cyclic_draws(self):
+        cases = cyclic_oracle_cases(spanning=20, self_loops=40)
+        assert len(cases) == 60
+        for seed, spec, annotations, rng in cases:
+            slow = brute_force_solve(spec, annotations)
+            fast = solve(spec, annotations, max_models=20_000)
+            assert fast.answer_sets == slow.answer_sets, seed
+            assert fast.truncated == slow.truncated, seed
+            assert (check_consistency(spec, annotations) == []) == slow.consistent, seed
+            direct = {
+                (i.label, o.label): DependencyType(rng.randrange(5))
+                for i in spec.edges
+                for o in spec.edges
+                if i.direction == "in" and o.direction == "out" and i.program == o.program
+            }
+            for i in sorted(e.label for e in spec.edges if e.direction == "in"):
+                for o in sorted(e.label for e in spec.edges if e.direction == "out"):
+                    expected = oracle_path_type(spec, i, o, direct)
+                    assert path_type(i, o, direct, spec) == expected, (seed, i, o)
