@@ -55,6 +55,7 @@ from .reasoner import (
     path_type,
     simple_paths,
     solve,
+    solve_or_explain,
 )
 from .trace import (
     DataItem,
@@ -115,6 +116,7 @@ __all__ = [
     "path_type",
     "simple_paths",
     "solve",
+    "solve_or_explain",
     "up_stream_pairs",
     "validate_structure",
     "warn_sameas_candidates",

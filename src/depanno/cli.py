@@ -17,7 +17,13 @@ from pathlib import Path
 from .dsl import parse_spec
 from .exports import UnsupportedExportError, emit_asp_program, emit_dot
 from .model import DependencyType
-from .reasoner import Conflict, _solve, check_consistency, entailed_annotations, solve
+from .reasoner import (
+    Conflict,
+    check_consistency,
+    entailed_annotations,
+    solve,
+    solve_or_explain,
+)
 from .trace import TraceFormatError, check_trace, parse_trace, warn_sameas_candidates
 
 
@@ -138,7 +144,7 @@ def cmd_validate(args) -> int:
 
 def cmd_infer(args) -> int:
     spec, annotations = _load_workflow(args.workflow)
-    result, conflicts = _solve(spec, annotations, args.max_models, explain=True)
+    result, conflicts = solve_or_explain(spec, annotations, args.max_models)
     if not result.consistent:
         return _report_consistency(spec.name, conflicts, args.format)
     if result.truncated:

@@ -281,10 +281,10 @@ class _Thresholds:
                 successors.extend(readers[o])
             self.hops.append(tuple(row))
             succ.append(successors)
-        # An acyclic in-label is stored as an int, a cyclic component (or an
-        # in-label whose block reads its own output) as a tuple.
-        self.order: list = [
-            tuple(c) if len(c) > 1 or c[0] in succ[c[0]] else c[0]
+        # Components as (members, cyclic): cyclic when it has several
+        # in-labels or its one in-label's block reads its own output.
+        self.order = [
+            (tuple(c), len(c) > 1 or c[0] in succ[c[0]])
             for c in _sink_first_components(succ)
         ]
 
@@ -299,36 +299,26 @@ class _Thresholds:
         closure = [0] * len(self.hops)
         hops = self.hops
         above = self.above
-        for step in self.order:
-            if step.__class__ is int:
-                reached = over = 0
-                for h, bits, readers in hops[step]:
-                    rank = ranks[h]
-                    over |= above[rank] & bits
-                    for j in readers:
-                        bits |= closure[j]
-                    reached |= bits & lanes[rank]
-                if exact and reached & over:
-                    return None
-                closure[step] = reached
-                continue
+        for members, cyclic in self.order:
+            # Closures only grow towards the fixpoint, so a pair found too
+            # strong on any pass stays too strong at the end.
             changed = True
             while changed:
                 changed = False
-                for i in step:
+                for i in members:
                     reached = closure[i]
+                    over = 0
                     for h, bits, readers in hops[i]:
+                        rank = ranks[h]
+                        over |= above[rank] & bits
                         for j in readers:
                             bits |= closure[j]
-                        reached |= bits & lanes[ranks[h]]
+                        reached |= bits & lanes[rank]
+                    if exact and reached & over:
+                        return None
                     if reached != closure[i]:
                         closure[i] = reached
-                        changed = True
-            if exact:
-                for i in step:
-                    for h, bits, _ in hops[i]:
-                        if closure[i] & bits & above[ranks[h]]:
-                            return None
+                        changed = cyclic
         return closure
 
 
@@ -391,25 +381,19 @@ class _Reasoning:
         self.direct: tuple[Pair, ...] = self.index.direct_pairs
         self.direct_set = set(self.direct)
         self.thresholds = _Thresholds(self.index)
-        self._slots: Optional[tuple] = None
+        # Upstream pairs grouped for reading a model off a closure: per
+        # source, its in-label index, its pairs and their out bits.
+        at, bit = self.thresholds.at, self.thresholds.bit
+        groups: dict[str, list[Pair]] = {}
+        for pair in self.upstream:
+            groups.setdefault(pair[0], []).append(pair)
+        self.slots = tuple(
+            [
+                (at[source], tuple(pairs), tuple([bit[o] for _, o in pairs]))
+                for source, pairs in groups.items()
+            ]
+        )
         self._paths: dict[Pair, tuple[tuple[str, ...], ...]] = {}
-
-    def slots(self) -> tuple:
-        """Upstream pairs grouped for reading a model off a closure: per
-        source, its in-label index, its pairs and their out bits. Built on
-        first use, since a search that reaches no leaf never needs it."""
-        if self._slots is None:
-            at, bit = self.thresholds.at, self.thresholds.bit
-            groups: dict[str, list[Pair]] = {}
-            for pair in self.upstream:
-                groups.setdefault(pair[0], []).append(pair)
-            self._slots = tuple(
-                [
-                    (at[source], tuple(pairs), tuple([bit[o] for _, o in pairs]))
-                    for source, pairs in groups.items()
-                ]
-            )
-        return self._slots
 
     def paths(self, pair: Pair) -> tuple[tuple[str, ...], ...]:
         cached = self._paths.get(pair)
@@ -478,9 +462,7 @@ def _enumerate(ctx: _Reasoning, pinned: Mapping[Pair, DependencyType], max_model
             indirect.append((source, reach, over))
     low_lanes_by_rank = tuple([lanes & low_lanes for lanes in th.lanes])
     high_lanes_by_rank = tuple([lanes & high_lanes for lanes in th.lanes])
-    # Per source, the types its pairs take under each closure seen so far:
-    # models differ in few hops, so most sources repeat a closure.
-    decoded: list[dict[int, tuple[DependencyType, ...]]] = [{} for _ in th.hops]
+    spread = th.spread
     models: list[dict] = []
     limit = max_models + 1
 
@@ -505,15 +487,10 @@ def _enumerate(ctx: _Reasoning, pinned: Mapping[Pair, DependencyType], max_model
             if closure[source] & reach != reach or closure[source] & over:
                 return
         model: dict[Pair, DependencyType] = {}
-        for source, pairs, bits in ctx.slots():
+        for source, pairs, bits in ctx.slots:
             lanes = closure[source]
-            seen = decoded[source]
-            values = seen.get(lanes)
-            if values is None:
-                values = seen[lanes] = tuple(
-                    _TYPES[((lanes >> bit) & th.spread).bit_count()] for bit in bits
-                )
-            model.update(zip(pairs, values))
+            for pair, bit in zip(pairs, bits):
+                model[pair] = _TYPES[((lanes >> bit) & spread).bit_count()]
         models.append(model)
 
     def search(k: int) -> None:
@@ -592,16 +569,26 @@ def solve(
     return _solve(spec, annotations, max_models, explain=False)[0]
 
 
+def solve_or_explain(
+    spec: WorkflowSpec,
+    annotations: Iterable[Annotation] = (),
+    max_models: int = 1024,
+) -> tuple[SolveResult, list[Conflict]]:
+    """solve's result and, when it has no answer set, check_consistency's
+    conflicts.
+
+    Both come from one validation, one context and one search: the
+    explanation starts from the search's empty verdict instead of searching
+    for a first model again. The conflict list is empty when the result is
+    consistent.
+    """
+    return _solve(spec, annotations, max_models, explain=True)
+
+
 def _solve(
     spec: WorkflowSpec, annotations: Iterable[Annotation], max_models: int, explain: bool
 ) -> tuple[SolveResult, list[Conflict]]:
-    """solve's result and, with ``explain``, check_consistency's conflicts.
-
-    Both come from one validation, one context and one search: when the
-    search finds no answer set, the explanation starts from that verdict
-    instead of searching for a first model again. Without ``explain``, or
-    with answer sets, the conflict list is empty.
-    """
+    """solve_or_explain, explaining an empty result only with ``explain``."""
     if max_models < 1:
         raise ValueError("max_models must be at least 1")
     ctx, pinned, nff, contradictory = _prepare(spec, annotations)
@@ -783,7 +770,7 @@ def infer(
     conflicts) when no answer set exists.
     """
     annotations = list(annotations)
-    result, conflicts = _solve(spec, annotations, max_models, explain=True)
+    result, conflicts = solve_or_explain(spec, annotations, max_models)
     if not result.consistent:
         raise InconsistentWorkflowError(conflicts)
     user_pairs = {

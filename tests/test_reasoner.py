@@ -26,6 +26,7 @@ from depanno import (
     path_type,
     simple_paths,
     solve,
+    solve_or_explain,
     up_stream_pairs,
 )
 from depanno.random_workflows import random_annotations, random_workflow
@@ -518,6 +519,15 @@ class TestInfer:
         assert info.value.conflicts == tuple(check_consistency(spec, annotations))
         assert "x_in -> x_out" in str(info.value)
         assert "not-a-valid-path-type" in str(info.value)
+
+    def test_solve_or_explain_pairs_solve_with_its_conflicts(
+        self, chain_span, sampler_span
+    ):
+        for spec, annotations in (chain_span, sampler_span):
+            result, conflicts = solve_or_explain(spec, annotations, max_models=3)
+            assert result == solve(spec, annotations, max_models=3)
+            assert conflicts == check_consistency(spec, annotations)
+        assert conflicts
 
     def test_annotations_given_as_a_generator(self, chain_span, sampler_span):
         spec, annotations = chain_span
